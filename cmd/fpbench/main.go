@@ -73,7 +73,7 @@ type benchReport struct {
 	// parallelism (GOMAXPROCS or CPU count of 1): the thread sweep then
 	// measures scheduler interleaving, not scalability, and must not be
 	// compared against multi-core recordings.
-	Degraded   bool                     `json:"degraded,omitempty"`
+	Degraded   bool                     `json:"degraded"`
 	Throughput []throughputEntry        `json:"throughput,omitempty"`
 	Durability []durabilityEntry        `json:"durability,omitempty"`
 	InPage     []core.InPageBenchResult `json:"inpage,omitempty"`

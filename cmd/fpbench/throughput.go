@@ -54,11 +54,16 @@ type throughputEntry struct {
 	// Latch-protocol counters from the cell's metrics snapshot, so a
 	// report shows whether the optimistic path actually ran latch-free
 	// (readonly + optimistic ⇒ shared acquisitions and locked gets stay
-	// at their bulkload/warmup baseline) and how contended it was.
-	OptRestarts    uint64 `json:"opt_restarts"`
-	OptFallbacks   uint64 `json:"opt_fallbacks"`
-	SharedLatches  uint64 `json:"shared_latch_acquisitions"`
-	PoolLockedGets uint64 `json:"pool_locked_gets"`
+	// at their bulkload/warmup baseline) and how contended it was. The
+	// writer counters show the disk-first leaf-only inserts (one
+	// exclusive latch per non-splitting insert) against crabbing.
+	OptRestarts       uint64 `json:"opt_restarts"`
+	OptFallbacks      uint64 `json:"opt_fallbacks"`
+	OptWriteRestarts  uint64 `json:"opt_write_restarts"`
+	OptWriteFallbacks uint64 `json:"opt_write_fallbacks"`
+	SharedLatches     uint64 `json:"shared_latch_acquisitions"`
+	ExclusiveLatches  uint64 `json:"exclusive_latch_acquisitions"`
+	PoolLockedGets    uint64 `json:"pool_locked_gets"`
 }
 
 // throughputSweep runs the wall-clock serving benchmark: a read-only
@@ -242,17 +247,20 @@ func runThroughput(wl string, threads, keys int, dur time.Duration, fileStore, p
 	}
 	snap := tr.MetricsSnapshot()
 	return throughputEntry{
-		Workload:       wl,
-		Reads:          mode,
-		Threads:        threads,
-		Seconds:        elapsed.Seconds(),
-		Ops:            totalOps.Load(),
-		OpsPerSec:      float64(totalOps.Load()) / elapsed.Seconds(),
-		P50Nanos:       hist.Quantile(0.50),
-		P99Nanos:       hist.Quantile(0.99),
-		OptRestarts:    snap.Counters["latch.opt_restarts"],
-		OptFallbacks:   snap.Counters["latch.opt_fallbacks"],
-		SharedLatches:  snap.Counters["latch.shared_acquisitions"],
-		PoolLockedGets: snap.Counters["pool.shard.locked_gets"],
+		Workload:          wl,
+		Reads:             mode,
+		Threads:           threads,
+		Seconds:           elapsed.Seconds(),
+		Ops:               totalOps.Load(),
+		OpsPerSec:         float64(totalOps.Load()) / elapsed.Seconds(),
+		P50Nanos:          hist.Quantile(0.50),
+		P99Nanos:          hist.Quantile(0.99),
+		OptRestarts:       snap.Counters["latch.opt_restarts"],
+		OptFallbacks:      snap.Counters["latch.opt_fallbacks"],
+		OptWriteRestarts:  snap.Counters["latch.opt_write_restarts"],
+		OptWriteFallbacks: snap.Counters["latch.opt_write_fallbacks"],
+		SharedLatches:     snap.Counters["latch.shared_acquisitions"],
+		ExclusiveLatches:  snap.Counters["latch.exclusive_acquisitions"],
+		PoolLockedGets:    snap.Counters["pool.shard.locked_gets"],
 	}, nil
 }

@@ -290,13 +290,16 @@ func WithGappedLeaves() Option { return func(o *Options) { o.GappedLeaves = true
 
 // WithOptimisticReads re-enables the optimistic (version-validated,
 // latch-free) read path for point lookups in the concurrent serving
-// mode. It is the default there, so this option only undoes an earlier
-// WithPessimisticReads in the same option list.
+// mode — and, on the disk-first variant, the latch-free leaf descent of
+// inserts, deletes and scan starts, whose inserts then latch only the
+// leaf (DESIGN.md §11.7). It is the default there, so this option only
+// undoes an earlier WithPessimisticReads in the same option list.
 func WithOptimisticReads() Option { return func(o *Options) { o.PessimisticReads = false } }
 
 // WithPessimisticReads disables the optimistic read path: point
 // lookups in the concurrent serving mode always descend with shared
-// latch coupling. Baseline knob for comparing the two read protocols.
+// latch coupling, and disk-first writers crab from the root. Baseline
+// knob for comparing the two protocols.
 func WithPessimisticReads() Option { return func(o *Options) { o.PessimisticReads = true } }
 
 // WithConcurrency enables the wall-clock serving mode sized for n
@@ -677,6 +680,8 @@ func (t *Tree) SearchBatchInto(keys []Key, out []SearchResult) ([]SearchResult, 
 // Locking: none at the tree level; concurrent-mode writers crab
 // exclusive page latches, holding ancestors only while a child could
 // split (the cache-first variant serializes its writers internally).
+// With optimistic reads, a disk-first insert that fits its leaf latches
+// only that leaf.
 func (t *Tree) Insert(key Key, tid TupleID) error {
 	c0, u0 := t.opBegin()
 	err := t.index.Insert(key, tid)

@@ -18,8 +18,8 @@ import (
 const optMaxRestarts = 8
 
 // searchOpt runs the optimistic point lookup. handled=false means the
-// optimistic path is unavailable or exhausted its restart budget and
-// the caller must run the latched descent.
+// optimistic path is unavailable, met a non-resident page, or exhausted
+// its restart budget, and the caller must run the latched descent.
 func (t *Tree) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) {
 	if !t.opt || !t.mm.Concurrent() {
 		return 0, false, false
@@ -31,9 +31,14 @@ func (t *Tree) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) {
 			lt.OptRestart()
 			b.Pause()
 		}
-		tid, found, ok := t.searchOptAttempt(k)
-		if ok {
+		tid, found, st := t.searchOptAttempt(k)
+		if st == buffer.OptOK {
 			return tid, found, true
+		}
+		if st == buffer.OptMiss {
+			// A non-resident page is not interference: restarting
+			// cannot fault it in, so the latched path pays the I/O now.
+			return 0, false, false
 		}
 	}
 	lt.OptFallback()
@@ -41,24 +46,24 @@ func (t *Tree) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) {
 }
 
 // searchOptAttempt is one latch-free descent attempt; results are only
-// meaningful when ok.
-func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok bool) {
+// meaningful when st is OptOK.
+func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buffer.OptStatus) {
 	// A torn count can send the binary search past the page before
 	// validation rejects it; turn the bounds panic into a restart.
 	defer func() {
 		if recover() != nil {
-			tid, found, ok = 0, false, false
+			tid, found, st = 0, false, buffer.OptRetry
 		}
 	}()
 	root, height := t.rootHeight()
 	if root == 0 {
-		return 0, false, true
+		return 0, false, buffer.OptOK
 	}
 	pid := root
 	for lvl := height - 1; lvl > 0; lvl-- {
-		pg, okr := t.pool.ReadOpt(pid)
-		if !okr {
-			return 0, false, false
+		pg, rs := t.pool.ReadOptStatus(pid)
+		if rs != buffer.OptOK {
+			return 0, false, rs
 		}
 		slot := t.searchPageLT(buffer.Page{Data: pg.Data}, k)
 		if slot < 0 {
@@ -68,14 +73,14 @@ func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok bool) {
 		// Validate before following child: an unvalidated pointer may
 		// come from a torn read or a mid-split page image.
 		if !t.pool.ValidateOpt(pg) || child == 0 {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
 		pid = child
 	}
 	for pid != 0 {
-		pg, okr := t.pool.ReadOpt(pid)
-		if !okr {
-			return 0, false, false
+		pg, rs := t.pool.ReadOptStatus(pid)
+		if rs != buffer.OptOK {
+			return 0, false, rs
 		}
 		d := pg.Data
 		slot := t.searchPageLT(buffer.Page{Data: d}, k) + 1
@@ -83,18 +88,18 @@ func (t *Tree) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok bool) {
 			key := t.key(d, slot)
 			tid := t.ptr(d, slot)
 			if !t.pool.ValidateOpt(pg) {
-				return 0, false, false
+				return 0, false, buffer.OptRetry
 			}
-			return tid, key == k, true
+			return tid, key == k, buffer.OptOK
 		}
 		// Every entry here is < k (or the page is empty); the run may
 		// start in the next page. Validate the next pointer before
 		// following it.
 		next := pNext(d)
 		if !t.pool.ValidateOpt(pg) {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
 		pid = next
 	}
-	return 0, false, true
+	return 0, false, buffer.OptOK
 }

@@ -51,21 +51,50 @@ func (pg OptPage) Valid() bool { return pg.ID != 0 }
 // the race detector enabled.
 func (p *Pool) OptSupported() bool { return p.latches != nil && !raceEnabled }
 
+// OptStatus is the outcome of an optimistic page read.
+type OptStatus uint8
+
+const (
+	// OptOK: the snapshot was taken; validate before trusting it.
+	OptOK OptStatus = iota
+	// OptRetry: a writer or a frame recycle interfered (the page is
+	// exclusively latched, or its frame changed under the lookup).
+	// The caller backs off and restarts its descent.
+	OptRetry
+	// OptMiss: the page is not resident (or its read is still in
+	// flight), or the pool cannot serve optimistic reads. This is not
+	// interference — restarting cannot make the page resident — so the
+	// caller falls back to the latched path at once, which pays the
+	// I/O.
+	OptMiss
+)
+
 // ReadOpt resolves pid to an optimistic page view. ok=false means the
-// page is not resident, is mid-refill, or is exclusively latched — the
-// caller should fall back to a latched Get (which pays the I/O and the
-// latch anyway). No pin or latch is taken on success; pair every use
-// of the returned Data with a ValidateOpt check.
+// page is not resident, is mid-refill, or is exclusively latched; use
+// ReadOptStatus to tell those apart. No pin or latch is taken on
+// success; pair every use of the returned Data with a ValidateOpt
+// check.
 func (p *Pool) ReadOpt(pid uint32) (OptPage, bool) {
-	if pid == 0 || !p.OptSupported() {
-		return OptPage{}, false
+	pg, st := p.ReadOptStatus(pid)
+	return pg, st == OptOK
+}
+
+// ReadOptStatus is ReadOpt reporting why a snapshot could not be
+// taken: OptMiss for a page that is not resident (fall back to a
+// latched Get now), OptRetry for interference (restart after backoff).
+func (p *Pool) ReadOptStatus(pid uint32) (OptPage, OptStatus) {
+	if !p.OptSupported() {
+		return OptPage{}, OptMiss
+	}
+	if pid == 0 {
+		return OptPage{}, OptRetry
 	}
 	sh := p.shardFor(pid)
 	var i int
 	if packed := sh.fast[pid&(fastSize-1)].Load(); packed != 0 && uint32(packed>>32) == pid {
 		i = int(packed&framePinMask) - 1
 		if i < 0 || i >= len(sh.frames) {
-			return OptPage{}, false
+			return OptPage{}, OptRetry
 		}
 	} else {
 		// Fast-slot miss: translate through the shard table. This takes
@@ -79,20 +108,22 @@ func (p *Pool) ReadOpt(pid uint32) (OptPage, bool) {
 		}
 		sh.mu.Unlock()
 		if !ok {
-			return OptPage{}, false
+			return OptPage{}, OptMiss
 		}
 		i = idx
 	}
 	f := &sh.frames[i]
 	st := f.state.Load()
 	if st&frameValidBit == 0 || f.readyAt.Load() != 0 || f.pid.Load() != pid {
-		return OptPage{}, false
+		// The frame is being evicted, refilled or prefetched into:
+		// the page is (about to be) out of the pool either way.
+		return OptPage{}, OptMiss
 	}
 	ver, ok := p.latches.ReadVersion(pid)
 	if !ok {
-		return OptPage{}, false
+		return OptPage{}, OptRetry
 	}
-	return OptPage{ID: pid, Data: f.data, f: f, fst: st &^ framePinMask, ver: ver}, true
+	return OptPage{ID: pid, Data: f.data, f: f, fst: st &^ framePinMask, ver: ver}, OptOK
 }
 
 // ValidateOpt reports whether every byte read from pg.Data since

@@ -46,6 +46,9 @@ func TestReadOptRejectsWriteLocked(t *testing.T) {
 	if _, ok := p.ReadOpt(pid); ok {
 		t.Fatal("ReadOpt succeeded on an exclusively latched page")
 	}
+	if _, st := p.ReadOptStatus(pid); st != OptRetry {
+		t.Fatalf("ReadOptStatus on a write-locked page = %d, want OptRetry", st)
+	}
 	p.Latches().Unlock(pid)
 	if _, ok := p.ReadOpt(pid); !ok {
 		t.Fatal("ReadOpt failed after the latch was released")
@@ -124,11 +127,19 @@ func TestValidateOptSeesEviction(t *testing.T) {
 	if p.ValidateOpt(pg) {
 		t.Fatal("ValidateOpt passed after the frame was evicted and reused")
 	}
+	if _, st := p.ReadOptStatus(pidA); st != OptMiss {
+		t.Fatalf("ReadOptStatus on the evicted page = %d, want OptMiss", st)
+	}
 }
 
 func TestReadOptMissReturnsFalse(t *testing.T) {
 	p, pid := newOptPool(t)
 	if _, ok := p.ReadOpt(pid + 1000); ok {
 		t.Fatal("ReadOpt fabricated a snapshot for a nonexistent page")
+	}
+	// Non-residency is its own outcome: callers fall back to a latched
+	// Get at once instead of restarting as if a writer interfered.
+	if _, st := p.ReadOptStatus(pid + 1000); st != OptMiss {
+		t.Fatalf("ReadOptStatus on a non-resident page = %d, want OptMiss", st)
 	}
 }

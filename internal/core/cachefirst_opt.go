@@ -19,8 +19,8 @@ import (
 )
 
 // searchOpt runs the optimistic point lookup. handled=false means the
-// optimistic path is unavailable or exhausted its restart budget and
-// the caller must run the latched descent.
+// optimistic path is unavailable, met a non-resident page, or exhausted
+// its restart budget, and the caller must run the latched descent.
 func (t *CacheFirst) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool) {
 	if !t.opt || !t.mm.Concurrent() {
 		return 0, false, false
@@ -32,9 +32,14 @@ func (t *CacheFirst) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool)
 			lt.OptRestart()
 			b.Pause()
 		}
-		tid, found, ok := t.searchOptAttempt(k)
-		if ok {
+		tid, found, st := t.searchOptAttempt(k)
+		if st == buffer.OptOK {
 			return tid, found, true
+		}
+		if st == buffer.OptMiss {
+			// A non-resident page is not interference: restarting
+			// cannot fault it in, so the latched path pays the I/O now.
+			return 0, false, false
 		}
 	}
 	lt.OptFallback()
@@ -42,27 +47,27 @@ func (t *CacheFirst) searchOpt(k idx.Key) (tid idx.TupleID, found, handled bool)
 }
 
 // searchOptAttempt is one latch-free descent attempt; results are only
-// meaningful when ok.
-func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok bool) {
+// meaningful when st is OptOK.
+func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st buffer.OptStatus) {
 	// A torn read can yield wild node offsets before validation gets to
 	// reject them; convert the resulting bounds panic into a restart.
 	defer func() {
 		if recover() != nil {
-			tid, found, ok = 0, false, false
+			tid, found, st = 0, false, buffer.OptRetry
 		}
 	}()
 	e := t.reloc.Load()
 	if e&1 != 0 {
 		// A relocation is in flight; let the restart loop back off.
-		return 0, false, false
+		return 0, false, buffer.OptRetry
 	}
 	root, height := t.rootPtrHeight()
 	if root.isNil() {
-		return 0, false, true
+		return 0, false, buffer.OptOK
 	}
-	pg, okr := t.readOptPage(root.pid, e)
-	if !okr {
-		return 0, false, false
+	pg, rs := t.readOptPage(root.pid, e)
+	if rs != buffer.OptOK {
+		return 0, false, rs
 	}
 	cur := root
 	for lvl := height - 1; lvl > 0; lvl-- {
@@ -74,17 +79,17 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok boo
 		// Validate before following the ⟨pid, off⟩ pair anywhere — even
 		// within the same page, a torn read could fabricate the offset.
 		if !t.pool.ValidateOpt(pg) || child.isNil() {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
 		if child.pid != pg.ID {
-			if pg, okr = t.readOptPage(child.pid, e); !okr {
-				return 0, false, false
+			if pg, rs = t.readOptPage(child.pid, e); rs != buffer.OptOK {
+				return 0, false, rs
 			}
 		}
 		cur = child
 	}
 	if cur.isNil() {
-		return 0, false, true
+		return 0, false, buffer.OptOK
 	}
 	// Forward walk over the leaf-node chain for the first entry == k.
 	// The per-page hop bound mirrors the disk-first walk: a torn chain
@@ -92,12 +97,12 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok boo
 	hops := 0
 	for !cur.isNil() {
 		if cur.pid != pg.ID {
-			if pg, okr = t.readOptPage(cur.pid, e); !okr {
-				return 0, false, false
+			if pg, rs = t.readOptPage(cur.pid, e); rs != buffer.OptOK {
+				return 0, false, rs
 			}
 			hops = 0
 		} else if hops++; hops > t.pageLines {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
 		slot, _ := t.searchNode(buffer.Page{Data: pg.Data}, cur.off, k, true)
 		slot = t.cNextOccupied(pg.Data, cur.off, slot+1)
@@ -105,26 +110,26 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found, ok boo
 			key := t.cKey(pg.Data, cur.off, slot)
 			tid := t.cTid(pg.Data, cur.off, slot)
 			if !t.pool.ValidateOpt(pg) {
-				return 0, false, false
+				return 0, false, buffer.OptRetry
 			}
-			return tid, key == k, true
+			return tid, key == k, buffer.OptOK
 		}
 		next := t.cNextLeaf(pg.Data, cur.off)
 		if !t.pool.ValidateOpt(pg) {
-			return 0, false, false
+			return 0, false, buffer.OptRetry
 		}
 		cur = next
 	}
-	return 0, false, true
+	return 0, false, buffer.OptOK
 }
 
 // readOptPage resolves pid optimistically and re-checks the relocation
 // epoch after the snapshot, mirroring the latched protocol's check
 // after every cross-page pin.
-func (t *CacheFirst) readOptPage(pid uint32, e uint64) (buffer.OptPage, bool) {
-	pg, ok := t.pool.ReadOpt(pid)
-	if !ok || t.reloc.Load() != e {
-		return buffer.OptPage{}, false
+func (t *CacheFirst) readOptPage(pid uint32, e uint64) (buffer.OptPage, buffer.OptStatus) {
+	pg, st := t.pool.ReadOptStatus(pid)
+	if st == buffer.OptOK && t.reloc.Load() != e {
+		st = buffer.OptRetry
 	}
-	return pg, true
+	return pg, st
 }

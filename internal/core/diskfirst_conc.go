@@ -8,7 +8,11 @@ import (
 	"repro/internal/latch"
 )
 
-// Concurrent insertion for the disk-first fpB+-Tree: pessimistic
+// Concurrent insertion for the disk-first fpB+-Tree. With optimistic
+// reads on, an insert first tries the leaf-only fast path
+// (insertLeafOnly, DESIGN.md §11.7): a latch-free descent, then one
+// exclusive latch on the leaf. Everything that path cannot do — a split,
+// a separator lowering, a height-1 tree — runs pessimistic
 // exclusive-latch crabbing, structurally identical to the bptree
 // protocol (see internal/bptree/conc.go and DESIGN.md §11). The safe-
 // node rule is conservative: a page with fewer than fanout-leafNodes
@@ -35,9 +39,19 @@ func (t *DiskFirst) pageSafe(d []byte) bool {
 	return dfEntries(d) < t.fanout-t.leafNodes
 }
 
-// insertConc is Insert under the per-page latch protocol. An attempt
-// restarts only when the root it latched is no longer the root.
+// insertConc is Insert under the per-page latch protocol. A crabbing
+// attempt restarts only when the root it latched is no longer the root.
 func (t *DiskFirst) insertConc(k idx.Key, tid idx.TupleID) error {
+	if t.optActive() {
+		var err error
+		if t.runOpt(true, func() buffer.OptStatus {
+			var st buffer.OptStatus
+			st, err = t.insertLeafOnly(k, tid)
+			return st
+		}) {
+			return err
+		}
+	}
 	var bo latch.Backoff
 	for {
 		root, height := t.rootHeight()
@@ -76,6 +90,56 @@ func (t *DiskFirst) createRootConc() error {
 	t.firstLeaf.Store(pg.ID)
 	t.meta.Store(pg.ID, 0, 1)
 	return nil
+}
+
+// beforeLeafLatch, when set (tests only), runs in insertLeafOnly
+// between the latch-free descent and the leaf's GetX. It is a package
+// variable, not a DiskFirst field, because growing DiskFirst past 384
+// bytes moves it to an allocation size class that is not cache-line
+// aligned, which can put the per-op counters every client writes on a
+// line with the fields every lookup reads.
+var beforeLeafLatch func(leaf uint32)
+
+// insertLeafOnly is one attempt of the leaf-only insert: find the leaf
+// with the latch-free descent, latch it exclusively, re-validate the
+// leaf-parent snapshot, and insert in place. Every split X-latches the
+// parent before the child and holds it through the cascade, so an
+// unchanged parent proves the leaf was neither split nor re-ranged
+// between the descent and the latch; on a change the attempt unlatches
+// and reports OptRetry. OptMiss sends the insert to crabbing: a pool
+// miss above the leaf, a height-1 tree, a separator to lower, or a leaf
+// that must split. An error ends the insert (reported with OptOK).
+//
+// Only the leaf latch is ever held, and only non-blocking validations
+// run under it, so this path adds no edge to the latch wait graph.
+func (t *DiskFirst) insertLeafOnly(k idx.Key, tid idx.TupleID) (buffer.OptStatus, error) {
+	leaf, parent, lowers, st := t.leafOptAttempt(k, false)
+	if st != buffer.OptOK {
+		return st, nil
+	}
+	if !parent.Valid() || lowers {
+		return buffer.OptMiss, nil
+	}
+	if beforeLeafLatch != nil {
+		beforeLeafLatch(leaf)
+	}
+	pg, err := t.pool.GetX(leaf)
+	if err != nil {
+		return buffer.OptOK, err
+	}
+	if !t.pool.ValidateOpt(parent) {
+		t.pool.Unpin(pg, false)
+		return buffer.OptRetry, nil
+	}
+	t.touchHeader(pg)
+	ok, err := t.insertOnePage(pg, k, uint32(tid))
+	// A failed in-page insert may already have lowered in-page
+	// separators, so the page is written back either way.
+	t.pool.Unpin(pg, true)
+	if err != nil || ok {
+		return buffer.OptOK, err
+	}
+	return buffer.OptMiss, nil
 }
 
 // insertOnePage performs the non-splitting insert into an exclusively

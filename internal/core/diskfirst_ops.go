@@ -157,15 +157,24 @@ func (t *DiskFirst) Search(k idx.Key) (idx.TupleID, bool, error) {
 // findFirst locates the first entry with key == k, returning its pinned
 // page plus (in-page node, slot), or found=false. With excl the leaf
 // pages are pinned exclusively (concurrent Delete mutates in place);
-// the walk holds one leaf latch at a time, moving rightward.
+// the walk holds one leaf latch at a time, moving rightward. The
+// exclusive (Delete) walk starts from the latch-free leaf descent when
+// optimistic reads are on; the shared walk is Search's latched
+// fallback, which runs only after the latch-free lookup gave up.
 func (t *DiskFirst) findFirst(k idx.Key, excl bool) (buffer.Page, int, int, bool, error) {
 	root, height := t.rootHeight()
 	if root == 0 {
 		return buffer.Page{}, 0, 0, false, nil
 	}
-	pid, err := t.leafPageFor(root, height, k, true)
-	if err != nil {
-		return buffer.Page{}, 0, 0, false, err
+	pid, ok := uint32(0), false
+	if excl && t.optActive() {
+		pid, ok = t.leafOpt(k, true, true)
+	}
+	if !ok {
+		var err error
+		if pid, err = t.leafPageForLatched(root, height, k, true); err != nil {
+			return buffer.Page{}, 0, 0, false, err
+		}
 	}
 	first := true
 	for pid != 0 {

@@ -118,10 +118,22 @@ func (t *DiskFirst) RangeScan(startKey, endKey idx.Key, fn func(idx.Key, idx.Tup
 }
 
 // leafPageFor descends from the given (root, height) snapshot to the
-// leaf page for k (lt: strictly-less descent for scan starts). In
+// leaf page for k (lt: strictly-less descent for scan starts). With
+// optimistic reads it takes the latch-free descent from the current
+// root (leafOpt); otherwise, or when that gives up, leafPageForLatched.
+func (t *DiskFirst) leafPageFor(root uint32, height int, k idx.Key, lt bool) (uint32, error) {
+	if t.optActive() {
+		if pid, ok := t.leafOpt(k, lt, false); ok {
+			return pid, nil
+		}
+	}
+	return t.leafPageForLatched(root, height, k, lt)
+}
+
+// leafPageForLatched is leafPageFor without the latch-free descent. In
 // concurrent mode it latch-couples: the parent's shared latch is held
 // until the child page is pinned, strictly top-down.
-func (t *DiskFirst) leafPageFor(root uint32, height int, k idx.Key, lt bool) (uint32, error) {
+func (t *DiskFirst) leafPageForLatched(root uint32, height int, k idx.Key, lt bool) (uint32, error) {
 	if t.conc {
 		return t.leafPageForCoupled(root, height, k, lt)
 	}
@@ -188,6 +200,11 @@ func (t *DiskFirst) leafPagesBetween(root uint32, height int, startKey idx.Key, 
 	}
 	var pids []uint32
 	started := false
+	// Serving mode starts the walk at the start key's in-page leaf node,
+	// the node inPageChildFor found startLeaf in: the nodes before it
+	// point only at pages left of the range. Simulation mode walks from
+	// the page's first node, keeping its charge sequence.
+	skip := t.conc
 	for pid != 0 {
 		pg, err := t.pool.Get(pid)
 		if err != nil {
@@ -195,7 +212,12 @@ func (t *DiskFirst) leafPagesBetween(root uint32, height int, startKey idx.Key, 
 		}
 		d := pg.Data
 		t.touchHeader(pg)
-		for off := dfFirstLeaf(d); off != 0; off = t.lNext(d, off) {
+		off := dfFirstLeaf(d)
+		if skip {
+			off = t.descendInPageOpt(d, startKey, true)
+			skip = false
+		}
+		for ; off != 0; off = t.lNext(d, off) {
 			t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
 			cnt := t.lCount(d, off)
 			for i := 0; i < cnt; i++ {

@@ -75,6 +75,9 @@ type Table struct {
 
 	optRestarts  atomic.Uint64 // optimistic descents restarted on version mismatch
 	optFallbacks atomic.Uint64 // optimistic descents that fell back to latched reads
+
+	optWriteRestarts  atomic.Uint64 // writer fast-path descents restarted
+	optWriteFallbacks atomic.Uint64 // writer fast paths that fell back to crabbing
 }
 
 // NewTable returns an empty latch table.
@@ -266,11 +269,23 @@ func (t *Table) OptRestart() { t.optRestarts.Add(1) }
 // mode for the shared-latch path after exhausting its restart budget.
 func (t *Table) OptFallback() { t.optFallbacks.Add(1) }
 
+// OptWriteRestart records one restart of a writer's latch-free
+// descent (interference seen before or after the leaf latch landed).
+func (t *Table) OptWriteRestart() { t.optWriteRestarts.Add(1) }
+
+// OptWriteFallback records one writer leaving its leaf-only fast path
+// for the latched path (split, separator lowering, pool miss, or
+// exhausted restart budget).
+func (t *Table) OptWriteFallback() { t.optWriteFallbacks.Add(1) }
+
 // OptRestarts returns the total optimistic restarts recorded.
 func (t *Table) OptRestarts() uint64 { return t.optRestarts.Load() }
 
 // OptFallbacks returns the total optimistic fallbacks recorded.
 func (t *Table) OptFallbacks() uint64 { return t.optFallbacks.Load() }
+
+// OptWriteRestarts returns the total writer fast-path restarts.
+func (t *Table) OptWriteRestarts() uint64 { return t.optWriteRestarts.Load() }
 
 // SharedAcquisitions returns the total successful shared (latched)
 // acquisitions; the readonly-sweep assertions use it to prove the
@@ -287,6 +302,8 @@ func (t *Table) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("latch.try_fails", t.tryFails.Load)
 	reg.Counter("latch.opt_restarts", t.optRestarts.Load)
 	reg.Counter("latch.opt_fallbacks", t.optFallbacks.Load)
+	reg.Counter("latch.opt_write_restarts", t.optWriteRestarts.Load)
+	reg.Counter("latch.opt_write_fallbacks", t.optWriteFallbacks.Load)
 }
 
 // spinPauses is how many Backoff pauses busy-spin before yielding the

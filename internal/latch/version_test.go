@@ -89,6 +89,10 @@ func TestOptCounters(t *testing.T) {
 	lt.OptRestart()
 	lt.OptRestart()
 	lt.OptFallback()
+	lt.OptWriteRestart()
+	lt.OptWriteRestart()
+	lt.OptWriteRestart()
+	lt.OptWriteFallback()
 	reg := obs.NewRegistry()
 	lt.RegisterMetrics(reg)
 	snap := reg.Snapshot()
@@ -97,6 +101,17 @@ func TestOptCounters(t *testing.T) {
 	}
 	if got := snap.Counters["latch.opt_fallbacks"]; got != 1 {
 		t.Errorf("latch.opt_fallbacks = %d, want 1", got)
+	}
+	// Writer restarts are counted apart, so the reader counters keep
+	// their reader-only meaning.
+	if got := snap.Counters["latch.opt_write_restarts"]; got != 3 {
+		t.Errorf("latch.opt_write_restarts = %d, want 3", got)
+	}
+	if got := snap.Counters["latch.opt_write_fallbacks"]; got != 1 {
+		t.Errorf("latch.opt_write_fallbacks = %d, want 1", got)
+	}
+	if lt.OptWriteRestarts() != 3 {
+		t.Errorf("OptWriteRestarts() = %d, want 3", lt.OptWriteRestarts())
 	}
 	if lt.OptRestarts() != 2 || lt.OptFallbacks() != 1 {
 		t.Errorf("accessors = (%d,%d), want (2,1)", lt.OptRestarts(), lt.OptFallbacks())

@@ -67,13 +67,17 @@ func TestOptimisticConformanceMatrix(t *testing.T) {
 	}
 }
 
-// runOptimisticStress drives 2 searching readers and 2 crabbing
-// writers over a bulkloaded tree built with opts, then checks pin
-// leaks, structural invariants, and the exact key/tuple differential.
+// runOptimisticStress drives 2 readers (point searches, plus a range
+// scan every 16th op checked for order and for every bulkloaded key in
+// range) and 2 writers (inserting their own disjoint even keys, then
+// deleting every other one) over a bulkloaded tree built with opts,
+// then checks pin leaks, structural invariants, and the exact
+// key/tuple differential.
 func runOptimisticStress(t *testing.T, opts []Option) {
 	const (
 		oddKeys      = 2500 // bulkloaded: 1, 3, 5, ...
-		insPerWriter = 1000 // writer w inserts evens ≡ 2w (mod 4)
+		insPerWriter = stressInsPerWriter
+		scanSpan     = 300
 	)
 	tr, err := New(opts...)
 	if err != nil {
@@ -99,6 +103,13 @@ func runOptimisticStress(t *testing.T, opts []Option) {
 			for n := 0; n < 5000; n++ {
 				x = x*1664525 + 1013904223
 				k := Key(x % uint32(maxKey+10))
+				if n%16 == 0 {
+					if err := checkStressScan(tr, k, k+scanSpan, maxKey); err != nil {
+						errs <- fmt.Errorf("reader %d: %v", w, err)
+						return
+					}
+					continue
+				}
 				tid, ok, err := tr.Search(k)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d: Search(%d): %v", w, k, err)
@@ -123,12 +134,16 @@ func runOptimisticStress(t *testing.T, opts []Option) {
 		go func(w int) {
 			defer wg.Done()
 			for n := 0; n < insPerWriter; n++ {
-				k := Key(4*n + 2*w) // disjoint even keys per writer
-				if k == 0 {
-					k = 4 * insPerWriter // keep 0 free as a sentinel
-				}
+				k := writerKey(w, n)
 				if err := tr.Insert(k, TupleID(k+7)); err != nil {
 					errs <- fmt.Errorf("writer %d: Insert(%d): %v", w, k, err)
+					return
+				}
+			}
+			for n := 0; n < insPerWriter; n += 2 {
+				k := writerKey(w, n)
+				if ok, err := tr.Delete(k); err != nil || !ok {
+					errs <- fmt.Errorf("writer %d: Delete(%d) = (%v, %v), want (true, nil)", w, k, ok, err)
 					return
 				}
 			}
@@ -153,11 +168,8 @@ func runOptimisticStress(t *testing.T, opts []Option) {
 		want[k] = TupleID(k + 7)
 	}
 	for w := 0; w < 2; w++ {
-		for n := 0; n < insPerWriter; n++ {
-			k := Key(4*n + 2*w)
-			if k == 0 {
-				k = 4 * insPerWriter
-			}
+		for n := 1; n < insPerWriter; n += 2 { // the even n were deleted
+			k := writerKey(w, n)
 			want[k] = TupleID(k + 7)
 		}
 	}
@@ -176,4 +188,51 @@ func runOptimisticStress(t *testing.T, opts []Option) {
 			t.Fatalf("key %d: tree has %d, reference has %d", k, got[k], tid)
 		}
 	}
+}
+
+// stressInsPerWriter is how many keys each stress writer inserts.
+const stressInsPerWriter = 1000
+
+// writerKey is stress writer w's n-th key: disjoint even keys per
+// writer (≡ 2w mod 4), with 0 kept free as a sentinel.
+func writerKey(w, n int) Key {
+	if k := Key(4*n + 2*w); k != 0 {
+		return k
+	}
+	return 4 * stressInsPerWriter
+}
+
+// checkStressScan runs RangeScan(lo, hi) mid-stress and checks what a
+// concurrent scan must guarantee: keys strictly ascending within
+// [lo, hi], every tuple matching its key, and every bulkloaded (odd,
+// never written) key in range below maxKey delivered.
+func checkStressScan(tr *Tree, lo, hi, maxKey Key) error {
+	var prev Key
+	have := false
+	odd := 0
+	var bad error
+	if _, err := tr.RangeScan(lo, hi, func(k Key, tid TupleID) bool {
+		if k < lo || k > hi || (have && k <= prev) || tid != TupleID(k+7) {
+			bad = fmt.Errorf("RangeScan(%d, %d) delivered (%d, %d) after key %d", lo, hi, k, tid, prev)
+			return false
+		}
+		if k%2 == 1 && k < maxKey {
+			odd++
+		}
+		prev, have = k, true
+		return true
+	}); err != nil {
+		return fmt.Errorf("RangeScan(%d, %d): %v", lo, hi, err)
+	}
+	if bad != nil {
+		return bad
+	}
+	want := 0
+	for k := lo | 1; k <= hi && k < maxKey; k += 2 {
+		want++
+	}
+	if odd != want {
+		return fmt.Errorf("RangeScan(%d, %d) delivered %d bulkloaded keys, want %d", lo, hi, odd, want)
+	}
+	return nil
 }
