@@ -64,6 +64,9 @@ type throughputEntry struct {
 	SharedLatches     uint64 `json:"shared_latch_acquisitions"`
 	ExclusiveLatches  uint64 `json:"exclusive_latch_acquisitions"`
 	PoolLockedGets    uint64 `json:"pool_locked_gets"`
+	// OptTableLookups counts optimistic page reads that missed the
+	// pool's direct-mapped fast table and took the shard map instead.
+	OptTableLookups uint64 `json:"opt_table_lookups"`
 }
 
 // throughputSweep runs the wall-clock serving benchmark: a read-only
@@ -262,5 +265,6 @@ func runThroughput(wl string, threads, keys int, dur time.Duration, fileStore, p
 		SharedLatches:     snap.Counters["latch.shared_acquisitions"],
 		ExclusiveLatches:  snap.Counters["latch.exclusive_acquisitions"],
 		PoolLockedGets:    snap.Counters["pool.shard.locked_gets"],
+		OptTableLookups:   snap.Counters["buffer.opt_table_lookups"],
 	}, nil
 }

@@ -11,7 +11,8 @@ package buffer
 // whole window:
 //
 //  1. resolve pid to a frame (fast slot, or a brief shard-mutex table
-//     lookup on a fast miss — no pin, no latch either way)
+//     lookup on a fast miss, counted as buffer.opt_table_lookups — no
+//     pin, no latch either way)
 //  2. snapshot the frame state word; require valid, no in-flight
 //     prefetch, and f.pid == pid
 //  3. sample the latch version; require no exclusive holder
@@ -102,6 +103,7 @@ func (p *Pool) ReadOptStatus(pid uint32) (OptPage, OptStatus) {
 		// and it repopulates the fast slot so the page's next optimistic
 		// read is store-free.
 		sh.mu.Lock()
+		sh.optTableLookups++
 		idx, ok := sh.table[pid]
 		if ok {
 			sh.fast[pid&(fastSize-1)].Store(packFast(pid, idx))

@@ -1,6 +1,10 @@
 package buffer
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/obs"
+)
 
 // newOptPool builds a small concurrent pool with one resident page and
 // returns the pool and the page's ID. Tests that need the optimistic
@@ -141,5 +145,38 @@ func TestReadOptMissReturnsFalse(t *testing.T) {
 	// Get at once instead of restarting as if a writer interfered.
 	if _, st := p.ReadOptStatus(pid + 1000); st != OptMiss {
 		t.Fatalf("ReadOptStatus on a non-resident page = %d, want OptMiss", st)
+	}
+}
+
+// TestOptTableLookupCounter checks buffer.opt_table_lookups: an
+// optimistic read whose fast slot holds another page counts one table
+// lookup and repopulates the slot, so the page's next read is
+// counter-free; a warm read never counts.
+func TestOptTableLookupCounter(t *testing.T) {
+	p, pid := newOptPool(t)
+	reg := obs.NewRegistry()
+	p.RegisterMetrics(reg)
+	lookups := func() uint64 { return reg.Snapshot().Counters["buffer.opt_table_lookups"] }
+
+	slot := &p.shards[0].fast[pid&(fastSize-1)]
+	slot.Store(packFast(pid+fastSize, 0)) // a colliding page owns the slot
+	base := lookups()
+	if _, st := p.ReadOptStatus(pid); st != OptOK {
+		t.Fatalf("ReadOptStatus after a slot collision = %d, want OptOK", st)
+	}
+	if got := lookups(); got != base+1 {
+		t.Fatalf("slot collision counted %d table lookups, want 1", got-base)
+	}
+	for i := 0; i < 8; i++ {
+		if _, st := p.ReadOptStatus(pid); st != OptOK {
+			t.Fatalf("warm ReadOptStatus = %d, want OptOK", st)
+		}
+	}
+	if got := lookups(); got != base+1 {
+		t.Fatalf("warm optimistic reads moved opt_table_lookups by %d; the repopulated slot must serve them", got-base-1)
+	}
+	p.ResetStats()
+	if got := lookups(); got != 0 {
+		t.Fatalf("ResetStats left opt_table_lookups at %d", got)
 	}
 }

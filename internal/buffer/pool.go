@@ -135,6 +135,10 @@ type poolShard struct {
 	// explicitly cleared when their frame is evicted or discarded.
 	fast [fastSize]atomic.Uint64
 	hand int
+	// optTableLookups counts optimistic reads whose fast slot held
+	// another page (or none), so ReadOptStatus fell back to the mutex
+	// and the map. Guarded by mu; summed at snapshot.
+	optTableLookups uint64
 }
 
 type frame struct {
@@ -263,6 +267,7 @@ func (p *Pool) RegisterMetrics(reg *obs.Registry) {
 	reg.Counter("buffer.checksum_failures", p.stats.checksumFailures.Load)
 	reg.Counter("buffer.prefetch_failures", p.stats.prefetchFailures.Load)
 	reg.Counter("buffer.clock_micros", p.clock.Load)
+	reg.Counter("buffer.opt_table_lookups", p.optTableLookups)
 	reg.Gauge("buffer.resident_pages", func() float64 { return float64(p.ResidentPages()) })
 	reg.Gauge("buffer.frames", func() float64 { return float64(p.totalFrames) })
 	reg.Gauge("pool.shard.count", func() float64 { return float64(len(p.shards)) })
@@ -314,6 +319,24 @@ func (p *Pool) ResetStats() {
 	} {
 		c.Store(0)
 	}
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		sh.optTableLookups = 0
+		sh.mu.Unlock()
+	}
+}
+
+// optTableLookups sums the shards' optimistic-read table lookups.
+func (p *Pool) optTableLookups() uint64 {
+	var n uint64
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		n += sh.optTableLookups
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // Clock returns the pool's virtual time in microseconds.

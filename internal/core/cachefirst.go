@@ -458,9 +458,11 @@ func (t *CacheFirst) allocOverflowSlot(held buffer.Page) (ptr, error) {
 
 // --- charged access helpers ---
 
-// visitNode prefetches all lines of a node (pB+-Tree discipline).
+// visitNode prefetches all lines of a node (pB+-Tree discipline), in
+// the simulator (memsim charges) and on the CPU (prefetchNode).
 func (t *CacheFirst) visitNode(pg buffer.Page, off int) {
 	t.mm.Prefetch(pg.Addr+uint64(nodeBase(off)), t.s*lineSize)
+	prefetchNode(pg.Data, off, t.s)
 	t.mm.Busy(memsim.CostNodeVisit)
 	t.mm.Access(pg.Addr+uint64(nodeBase(off)), cfNodeHdr)
 	t.ops.NodeVisits.Add(1)

@@ -6,7 +6,8 @@ package core
 // at every page transition, exactly like the one-latch protocol it
 // replaces — and per-page latch versions, which replace the shared
 // latch itself: each page is resolved with buffer.ReadOpt, searched
-// with plain loads, and validated with buffer.ValidateOpt before any
+// with plain loads (each node's lines fetched together first by
+// prefetchNode), and validated with buffer.ValidateOpt before any
 // ⟨pid, off⟩ pointer or tuple ID derived from its bytes is trusted.
 // The epoch catches cross-page node relocations as a unit; the page
 // version catches the individual in-place edits. Restarts are bounded;
@@ -71,6 +72,7 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, s
 	}
 	cur := root
 	for lvl := height - 1; lvl > 0; lvl-- {
+		prefetchNode(pg.Data, cur.off, t.s)
 		slot, _ := t.searchNode(buffer.Page{Data: pg.Data}, cur.off, k, true)
 		if slot < 0 {
 			slot = 0
@@ -104,6 +106,7 @@ func (t *CacheFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, s
 		} else if hops++; hops > t.pageLines {
 			return 0, false, buffer.OptRetry
 		}
+		prefetchNode(pg.Data, cur.off, t.s)
 		slot, _ := t.searchNode(buffer.Page{Data: pg.Data}, cur.off, k, true)
 		slot = t.cNextOccupied(pg.Data, cur.off, slot+1)
 		if slot >= 0 {

@@ -374,8 +374,11 @@ func (t *DiskFirst) freeCount(d []byte, leafNode bool) int {
 
 // --- charged access helpers ---
 
+// visitNonleaf and visitLeaf prefetch all lines of a node, in the
+// simulator (memsim charges) and on the CPU (prefetchNode).
 func (t *DiskFirst) visitNonleaf(pg buffer.Page, off int) {
 	t.mm.Prefetch(pg.Addr+uint64(nodeBase(off)), t.w*lineSize)
+	prefetchNode(pg.Data, off, t.w)
 	t.mm.Busy(memsim.CostNodeVisit)
 	t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfNonHdr)
 	t.ops.NodeVisits.Add(1)
@@ -386,6 +389,7 @@ func (t *DiskFirst) visitNonleaf(pg buffer.Page, off int) {
 
 func (t *DiskFirst) visitLeaf(pg buffer.Page, off int) {
 	t.mm.Prefetch(pg.Addr+uint64(nodeBase(off)), t.x*lineSize)
+	prefetchNode(pg.Data, off, t.x)
 	t.mm.Busy(memsim.CostNodeVisit)
 	t.mm.Access(pg.Addr+uint64(nodeBase(off)), dfLeafHdr)
 	t.ops.NodeVisits.Add(1)

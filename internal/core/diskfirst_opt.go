@@ -2,10 +2,12 @@ package core
 
 // Optimistic (latch-free) point-lookup descent for the disk-first
 // variant, per DESIGN.md §11.6. The descent takes no latches and no
-// pins: each page is resolved with buffer.ReadOpt, searched with plain
-// loads (charges are frozen no-ops in serving mode, and the in-page
-// node-visit stats are deliberately skipped — they would be the only
-// atomic stores left on the path), and everything derived from its
+// pins: each page is resolved with buffer.ReadOpt and searched with
+// plain loads, every in-page node's lines fetched together by
+// prefetchNode first, as the visit helpers do on the latched path. It
+// skips those helpers themselves: their simulator charges are frozen
+// in serving mode, and their node-visit stats would be the only atomic
+// stores left on the path. Everything derived from the page's
 // bytes — the child page ID, the in-page next-node offset, the
 // page-level next pointer, the tuple ID — is re-validated with
 // buffer.ValidateOpt before it is trusted or followed. Any validation
@@ -121,6 +123,7 @@ func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st
 		// torn next-offset chain could otherwise cycle, and unlike a
 		// wild offset a cycle never faults into the recover above.
 		for hops := 0; off != 0 && hops < t.pageLines; hops++ {
+			prefetchNode(d, off, t.x)
 			slot, _ := t.searchLeafNode(buffer.Page{Data: d}, off, k, true)
 			slot = t.lNextOccupied(d, off, slot+1)
 			if slot >= 0 {
@@ -145,11 +148,14 @@ func (t *DiskFirst) searchOptAttempt(k idx.Key) (tid idx.TupleID, found bool, st
 // descendInPageOpt is descendInPage minus the node-visit charges and
 // stats: the charge entry points are frozen no-ops in serving mode and
 // the NodeVisits counter would be an atomic store on the latch-free
-// path. The data passed in is an unvalidated optimistic snapshot.
+// path. It keeps the CPU-side node prefetch. The data passed in is an
+// unvalidated optimistic snapshot, which prefetchNode's bounds guard
+// tolerates.
 func (t *DiskFirst) descendInPageOpt(d []byte, k idx.Key, lt bool) int {
 	pg := buffer.Page{Data: d}
 	off := dfRoot(d)
 	for lvl := dfInLevels(d); lvl > 1; lvl-- {
+		prefetchNode(d, off, t.w)
 		slot := t.searchNonleaf(pg, off, k, lt)
 		if slot < 0 {
 			slot = 0
@@ -165,6 +171,7 @@ func (t *DiskFirst) descendInPageOpt(d []byte, k idx.Key, lt bool) int {
 // minimum separator to k, a write the latch-free path cannot make.
 func (t *DiskFirst) inPageChildForOpt(d []byte, k idx.Key, lt bool) (child uint32, lowers bool) {
 	off := t.descendInPageOpt(d, k, lt)
+	prefetchNode(d, off, t.x)
 	slot, _ := t.searchLeafNode(buffer.Page{Data: d}, off, k, lt)
 	if slot < 0 {
 		slot = 0

@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzInPageSearch feeds arbitrary slot layouts through the raw SWAR
-// kernels and checks them against scalar reference loops: dense
+// kernels (and arbitrary offsets through prefetchNode's bounds guard)
+// and checks them against scalar reference loops: dense
 // below/above counts on unsorted data, the binary-search insertion
 // bound on sorted data, and the gapped predecessor scan on
 // sentinel-laden layouts. Each fuzz byte group contributes one slot (4
@@ -34,6 +35,15 @@ func FuzzInPageSearch(f *testing.F) {
 	}, uint32(4294967295), true)
 
 	f.Fuzz(func(t *testing.T, raw []byte, probe uint32, lt bool) {
+		// The optimistic descents prefetch nodes at offsets read from
+		// unvalidated page images: a fuzzed (offset, width) over the raw
+		// bytes as a page, capacity clipped so that a read past the end
+		// would panic, must return without reading outside it. The low
+		// bytes give small offsets that sometimes fit, the whole probe
+		// wild ones.
+		page := raw[:len(raw):len(raw)]
+		prefetchNode(page, int(int8(probe)), int(int8(probe>>8)))
+		prefetchNode(page, int(int32(probe)), int(probe>>16))
 		const maxSlots = 64
 		slots := len(raw) / 5
 		if slots > maxSlots {

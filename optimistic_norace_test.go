@@ -366,3 +366,57 @@ func TestOptimisticWritersLeafOnly(t *testing.T) {
 		t.Fatalf("final scan = (%d, %v), want (%d, nil)", n, err, keys)
 	}
 }
+
+// TestServingSearchAllocs asserts the allocation-free serving search: on
+// a warm tree in concurrent mode with optimistic reads, a facade Search
+// (latch-free descent, node prefetch, wall-clock latency histogram)
+// makes 0 allocs/op. The shared-latch count checks that the measured
+// searches really ran the optimistic path.
+func TestServingSearchAllocs(t *testing.T) {
+	const keys = 20000
+	for _, v := range []Variant{DiskFirst, CacheFirst} {
+		v := v
+		t.Run(v.String(), func(t *testing.T) {
+			tr, err := New(
+				WithVariant(v),
+				WithConcurrency(2),
+				WithPageSize(4<<10),
+				WithBufferPages(1024),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries := make([]Entry, keys)
+			for i := range entries {
+				k := Key(2*i + 1)
+				entries[i] = Entry{Key: k, TID: TupleID(k + 7)}
+			}
+			if err := tr.Bulkload(entries, 1.0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.RangeScan(0, ^Key(0), nil); err != nil {
+				t.Fatal(err)
+			}
+			base := tr.MetricsSnapshot()
+			x := uint32(7)
+			allocs := testing.AllocsPerRun(2000, func() {
+				x = x*1664525 + 1013904223
+				k := Key(x % (2 * keys))
+				tid, ok, err := tr.Search(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := k%2 == 1; ok != want || (ok && tid != TupleID(k+7)) {
+					t.Fatalf("Search(%d) = (%d,%v), want present=%v", k, tid, ok, want)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm serving Search allocates %.2f objects/op, want 0", allocs)
+			}
+			snap := tr.MetricsSnapshot()
+			if d := snap.Counters["latch.shared_acquisitions"] - base.Counters["latch.shared_acquisitions"]; d != 0 {
+				t.Errorf("%d shared latches during the measured searches: the optimistic path did not run", d)
+			}
+		})
+	}
+}
